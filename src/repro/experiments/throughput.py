@@ -41,7 +41,7 @@ from repro.experiments.bench import bench_record
 from repro.io.archive import CaptureArchive
 from repro.io.columnar import ColumnTrace
 from repro.io.csvlog import read_csv, read_csv_columns, write_csv_columns
-from repro.io.log import read_candump, read_candump_columns, write_candump_columns
+from repro.io.log import read_candump, read_candump_columns
 from repro.vehicle.ids_catalog import VehicleCatalog
 from repro.vehicle.traffic import generate_drive_columns
 
@@ -372,188 +372,6 @@ def run_kernel(
         stream_block_mps=stream_block_mps,
         parity_ok=parity_ok,
     )
-
-
-# ----------------------------------------------------------------------
-# Ingest: per-line readers vs the block-vectorised chunked readers
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IngestThroughputResult:
-    """Chunked-reader rates: per-line baseline vs block-vectorised.
-
-    One row per capture flavour (``candump``, ``candump.gz``, ``csv``,
-    ``csv.gz``): frames/second consuming the whole capture through the
-    per-line chunked reader and through the block-vectorised reader,
-    at the same ``chunk_frames``.  ``parity_ok`` asserts the merged
-    chunk streams are bit-identical to the whole-file readers — the
-    speedup only counts if the bytes agree.
-    """
-
-    n_frames: int
-    chunk_frames: int
-    #: ``(flavour, per-line frames/s, block frames/s)`` per flavour.
-    rates: Tuple[Tuple[str, float, float], ...]
-    parity_ok: bool
-
-    def speedup(self, flavour: str) -> float:
-        """Block-vectorised rate over the per-line rate."""
-        for name, perline_fps, block_fps in self.rates:
-            if name == flavour:
-                return block_fps / perline_fps if perline_fps else 0.0
-        return 0.0
-
-    @property
-    def min_speedup(self) -> float:
-        """The smallest speedup across all flavours."""
-        return min(
-            (self.speedup(name) for name, _, _ in self.rates),
-            default=0.0,
-        )
-
-    def render(self) -> str:
-        """The experiment's artifact table."""
-        lines = [
-            "Ingest: per-line chunked readers vs block-vectorised readers",
-            f"capture: {self.n_frames} frames, chunk_frames="
-            f"{self.chunk_frames}",
-            f"{'flavour':>12} {'per-line':>14} {'block':>14} {'speedup':>9}",
-        ]
-        for name, perline_fps, block_fps in self.rates:
-            lines.append(
-                f"{name:>12} {perline_fps:>14,.0f} {block_fps:>14,.0f} "
-                f"{self.speedup(name):>8.1f}x"
-            )
-        lines.append(
-            "chunk parity vs whole-file readers: "
-            + ("bit-identical" if self.parity_ok else "MISMATCH")
-        )
-        return "\n".join(lines)
-
-    def bench_records(self) -> List[dict]:
-        """Machine-readable twin of :meth:`render`."""
-        params = {
-            "n_frames": self.n_frames,
-            "chunk_frames": self.chunk_frames,
-        }
-        section = "ingest"
-        records = []
-        for name, perline_fps, block_fps in self.rates:
-            records.append(
-                bench_record(
-                    section, f"{name}_perline_fps", perline_fps,
-                    "frames/s", params,
-                )
-            )
-            records.append(
-                bench_record(
-                    section, f"{name}_block_fps", block_fps,
-                    "frames/s", params,
-                )
-            )
-            records.append(
-                bench_record(
-                    section, f"{name}_speedup", self.speedup(name), "x", params
-                )
-            )
-        records.append(
-            bench_record(
-                section, "parity_ok", 1.0 if self.parity_ok else 0.0,
-                "bool", params,
-            )
-        )
-        return records
-
-
-def run_ingest(
-    n_frames: int = 500_000,
-    chunk_frames: int = 65_536,
-    seed: int = 37,
-    scenario: str = "city",
-    catalog: Optional[VehicleCatalog] = None,
-    workdir: Optional[str] = None,
-) -> IngestThroughputResult:
-    """Measure chunked text ingestion, per-line vs block-vectorised.
-
-    Writes one synthetic drive capture (with payloads, so the payload
-    columns are exercised) as candump and CSV, plain and gzipped, then
-    consumes each flavour through the old per-line chunked reader
-    (``_iter_candump_columns_lines`` / ``_iter_csv_columns_rows``) and
-    the block-vectorised reader (:func:`~repro.io.log.iter_candump_columns`
-    / :func:`~repro.io.csvlog.iter_csv_columns`) at the same chunk
-    size, checking the merged chunk stream against the whole-file
-    reader before trusting either rate.
-    """
-    from repro.io.csvlog import _iter_csv_columns_rows, iter_csv_columns
-    from repro.io.log import _iter_candump_columns_lines, iter_candump_columns
-
-    cleanup = workdir is None
-    tmp = Path(
-        tempfile.mkdtemp(prefix="repro-ingest-") if cleanup else workdir
-    )
-    try:
-        probe = generate_drive_columns(
-            10.0, scenario=scenario, seed=seed, catalog=catalog
-        )
-        rate = max(probe.message_rate_hz(), 1.0)
-        duration_s = n_frames / rate * 1.02 + 1.0
-        capture = generate_drive_columns(
-            duration_s, scenario=scenario, seed=seed, catalog=catalog
-        ).slice(0, n_frames)
-        n = len(capture)
-
-        flavours = []
-        for name, path in (
-            ("candump", tmp / "capture.log"),
-            ("candump.gz", tmp / "capture.log.gz"),
-            ("csv", tmp / "capture.csv"),
-            ("csv.gz", tmp / "capture.csv.gz"),
-        ):
-            if name.startswith("candump"):
-                write_candump_columns(capture, path)
-                perline = _iter_candump_columns_lines
-                block = iter_candump_columns
-                whole = read_candump_columns
-            else:
-                write_csv_columns(capture, path)
-                perline = _iter_csv_columns_rows
-                block = iter_csv_columns
-                whole = read_csv_columns
-            flavours.append((name, path, perline, block, whole))
-
-        rates = []
-        parity_ok = True
-        for name, path, perline, block, whole in flavours:
-            chunks = list(block(path, chunk_frames))
-            merged = (
-                ColumnTrace.merge(*chunks)
-                if chunks
-                else ColumnTrace(np.empty(0, np.int64), np.empty(0, np.int64))
-            )
-            parity_ok = parity_ok and merged == whole(path)
-            del chunks, merged
-
-            start = time.perf_counter()
-            for _ in perline(path, chunk_frames):
-                pass
-            perline_fps = n / (time.perf_counter() - start)
-            start = time.perf_counter()
-            for _ in block(path, chunk_frames):
-                pass
-            block_fps = n / (time.perf_counter() - start)
-            rates.append((name, perline_fps, block_fps))
-
-        return IngestThroughputResult(
-            n_frames=n,
-            chunk_frames=int(chunk_frames),
-            rates=tuple(rates),
-            parity_ok=parity_ok,
-        )
-    finally:
-        if cleanup:
-            import shutil
-
-            shutil.rmtree(tmp, ignore_errors=True)
 
 
 # ----------------------------------------------------------------------

@@ -1,25 +1,88 @@
-"""Shared column accumulator for the columnar log readers.
+"""Shared pieces of the text readers' block drivers.
 
-The candump and CSV readers both parse text into the same five per-frame
-fields; :class:`ColumnBuilder` accumulates those fields in plain Python
-lists (the cheapest append path) and finishes them into a
-:class:`~repro.io.columnar.ColumnTrace` with a handful of batch
-conversions: one ``bytes.fromhex`` over the concatenated payload hex,
-one ``np.cumsum`` for the offsets, one array build per column.  No
-:class:`~repro.io.trace.TraceRecord` is ever allocated, which is where
-the record readers spend most of their time.
+Both text formats parse the same way: each byte block goes through the
+format's vectorised parser (:mod:`repro.io.vectorparse`), and a block it
+rejects re-parses with the format's reference record parser, whose
+records :meth:`~repro.io.columnar.ColumnTrace.from_trace` turns into
+columns.  This module holds the format-neutral steps of that loop:
+accepting a vector parse (:func:`vector_part`), collecting numbered
+records with ``path:lineno`` diagnostics (:func:`collect_records`,
+which the record readers use too), and re-slicing parts into
+fixed-size chunks (:func:`rechunk_parts`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import TraceFormatError
 from repro.io.columnar import ColumnTrace
+from repro.io.trace import Trace, TraceRecord
 
-__all__ = ["ColumnBuilder", "rechunk_parts"]
+__all__ = ["collect_records", "join_parts", "rechunk_parts", "vector_part"]
+
+
+def collect_records(
+    numbered: Iterable[Tuple[int, object]],
+    parse: Callable[[object], TraceRecord],
+    path: object,
+    floor_us: Optional[int] = None,
+    limit: Optional[int] = None,
+) -> Trace:
+    """Parse ``(lineno, item)`` pairs into a time-ordered :class:`Trace`.
+
+    Every error — a malformed item, or a timestamp before its
+    predecessor or before ``floor_us`` (the end of the previous block)
+    — is re-raised as ``path:lineno: message``.  With ``limit`` the
+    loop stops after that many records, leaving the rest of
+    ``numbered`` unread for the next call.
+    """
+    trace = Trace()
+    for lineno, item in numbered:
+        try:
+            record = parse(item)
+            if floor_us is not None and record.timestamp_us < floor_us:
+                raise TraceFormatError(
+                    "timestamp goes backwards across a block boundary; "
+                    "traces must be time-ordered"
+                )
+            trace.append(record)
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+        if len(trace) == limit:
+            break
+    return trace
+
+
+def vector_part(
+    cols: Optional[dict], floor_us: Optional[int]
+) -> Optional[ColumnTrace]:
+    """A vector parser's columns as a validated part, or None.
+
+    None sends the block to the record parser: the vector parser
+    rejected it, its frames are out of order, or it starts before
+    ``floor_us``.  The record parser then either loads the block or
+    names the offending line.
+    """
+    if cols is None:
+        return None
+    if not cols:
+        return ColumnTrace(np.empty(0, np.int64), np.empty(0, np.int64))
+    try:
+        part = ColumnTrace(**cols)
+    except TraceFormatError:
+        return None
+    if floor_us is not None and part.start_us < floor_us:
+        return None
+    return part
+
+
+def join_parts(parts: Iterable[ColumnTrace]) -> ColumnTrace:
+    """One trace from time-ordered parts; a single part is returned as is."""
+    parts = list(parts)
+    return parts[0] if len(parts) == 1 else ColumnTrace.merge(*parts)
 
 
 def rechunk_parts(
@@ -46,105 +109,3 @@ def rechunk_parts(
             pending = [merged] if count else []
     if count:
         yield pending[0] if len(pending) == 1 else ColumnTrace.merge(*pending)
-
-
-class ColumnBuilder:
-    """Accumulates parsed frame fields, then builds a :class:`ColumnTrace`.
-
-    ``append`` takes already-validated scalar fields plus the payload as
-    an even-length hex string (hex decoding is deferred and batched).
-    ``lineno`` is kept per frame so :meth:`build` can point error
-    messages at the offending input line.
-    """
-
-    __slots__ = (
-        "times", "ids", "ext", "att", "codes", "hex_parts", "linenos", "_intern"
-    )
-
-    def __init__(self) -> None:
-        self.times: List[int] = []
-        self.ids: List[int] = []
-        self.ext: List[bool] = []
-        self.att: List[bool] = []
-        self.codes: List[int] = []
-        self.hex_parts: List[str] = []
-        self.linenos: List[int] = []
-        self._intern: Dict[str, int] = {}
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def append(
-        self,
-        timestamp_us: int,
-        can_id: int,
-        data_hex: str,
-        extended: bool,
-        source: str,
-        is_attack: bool,
-        lineno: int,
-    ) -> None:
-        self.times.append(timestamp_us)
-        self.ids.append(can_id)
-        self.hex_parts.append(data_hex)
-        self.ext.append(extended)
-        self.att.append(is_attack)
-        code = self._intern.get(source)
-        if code is None:
-            code = self._intern.setdefault(source, len(self._intern))
-        self.codes.append(code)
-        self.linenos.append(lineno)
-
-    # ------------------------------------------------------------------
-    def build(
-        self, path: object = None, last_timestamp_us: Optional[int] = None
-    ) -> ColumnTrace:
-        """Finish the accumulated frames into a :class:`ColumnTrace`.
-
-        ``last_timestamp_us`` carries the final timestamp of the
-        previous chunk so chunked readers enforce monotonicity across
-        chunk boundaries too.
-        """
-        n = len(self.times)
-        timestamp_us = np.asarray(self.times, dtype=np.int64)
-        if n:
-            steps = np.diff(timestamp_us)
-            if np.any(steps < 0):
-                at = int(np.argmax(steps < 0)) + 1
-                raise TraceFormatError(
-                    f"{path}:{self.linenos[at]}: timestamp goes backwards; "
-                    f"traces must be time-ordered"
-                )
-            if last_timestamp_us is not None and self.times[0] < last_timestamp_us:
-                raise TraceFormatError(
-                    f"{path}:{self.linenos[0]}: timestamp goes backwards across "
-                    f"a chunk boundary; traces must be time-ordered"
-                )
-        try:
-            payload_bytes = bytes.fromhex("".join(self.hex_parts))
-        except ValueError:
-            for lineno, part in zip(self.linenos, self.hex_parts):
-                try:
-                    bytes.fromhex(part)
-                except ValueError as exc:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: bad payload hex {part!r}"
-                    ) from exc
-            raise  # pragma: no cover - per-part scan always locates it
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        if n:
-            np.cumsum(
-                np.fromiter((len(h) >> 1 for h in self.hex_parts), np.int64, n),
-                out=offsets[1:],
-            )
-        return ColumnTrace(
-            timestamp_us,
-            np.asarray(self.ids, dtype=np.int64),
-            payload=np.frombuffer(payload_bytes, dtype=np.uint8),
-            payload_offsets=offsets,
-            extended=np.asarray(self.ext, dtype=bool),
-            is_attack=np.asarray(self.att, dtype=bool),
-            source_code=np.asarray(self.codes, dtype=np.int32),
-            source_table=tuple(self._intern) if self._intern else ("",),
-            validate=False,
-        )

@@ -82,8 +82,8 @@ def iter_line_blocks(
     Yields ``(data, lineno_base)`` pairs where ``data`` contains only
     complete ``b"\\n"``-terminated lines (plus, at EOF, an unterminated
     final line) and ``lineno_base`` is the number of lines already
-    yielded — per-line fallbacks add it to their in-block position to
-    report exact file line numbers.  The partial line at each block
+    yielded — the record-parser fallback adds it to its in-block
+    position to report exact file line numbers.  The partial line at each block
     edge is carried into the next block, so edges may land anywhere —
     mid-line, mid-CRLF, inside a comment — without changing what the
     parsers see.  ``.gz`` inputs decompress one block at a time.

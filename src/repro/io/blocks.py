@@ -524,7 +524,7 @@ class BlockReader:
     def _read_index(self) -> dict:
         fh = self._handle
         fh.seek(0, 2)
-        size = fh.tell()
+        size = self._file_size = fh.tell()
         if size < len(_MAGIC) + _TRAILER.size:
             raise TraceFormatError(
                 f"not a block-compressed trace: {self.path} (truncated)"
@@ -618,8 +618,39 @@ class BlockReader:
         return (int(offset), int(csize), int(rawsize), dtype, "raw", {}, None)
 
     def _decode_entry(self, i: int, name: str, entry) -> np.ndarray:
-        """Read + inflate + CRC-check + un-filter one column of block ``i``."""
+        """Read + inflate + CRC-check + un-filter one column of block ``i``.
+
+        The index is untrusted: its byte range must lie inside the
+        file, and inflation stops at the most the column's codec can
+        produce for ``rawsize`` decoded bytes, so neither a forged size
+        nor a zlib bomb allocates more than the file justifies.
+        """
         offset, csize, rawsize, dtype, codec, meta, crc = entry
+        if offset < 0 or csize < 0 or offset + csize > self._file_size:
+            raise TraceFormatError(
+                f"{self.path}: block {i} column {name!r} is truncated or "
+                f"its index is corrupt: {csize} bytes at offset {offset} "
+                f"of a {self._file_size}-byte file"
+            )
+        try:
+            dtype = np.dtype(dtype)
+        except (TypeError, ValueError) as exc:
+            raise TraceFormatError(
+                f"{self.path}: block {i} column {name!r} has a malformed "
+                f"dtype {dtype!r}"
+            ) from exc
+        if rawsize < 0:
+            raise TraceFormatError(
+                f"{self.path}: block {i} column {name!r} has a negative "
+                f"decoded size {rawsize}"
+            )
+        if codec == "dict":
+            limit = 2 * rawsize  # sorted values, then codes no wider
+        elif codec == "delta":
+            # One delta per value, each at most 8 bytes wide.
+            limit = rawsize * 8 // max(dtype.itemsize, 1)
+        else:
+            limit = rawsize
         if len(self._scratch) < csize:
             self._scratch = bytearray(csize)
         view = memoryview(self._scratch)[:csize]
@@ -632,7 +663,13 @@ class BlockReader:
             )
         inflater = zlib.decompressobj()
         try:
-            raw = inflater.decompress(view)
+            raw = inflater.decompress(view, limit + 1)
+            if len(raw) > limit:
+                raise TraceFormatError(
+                    f"{self.path}: block {i} column {name!r} inflates past "
+                    f"the {limit} bytes its {codec!r} codec can produce "
+                    f"for {rawsize} decoded bytes"
+                )
             raw += inflater.flush()
         except zlib.error as exc:
             raise TraceFormatError(
@@ -649,7 +686,7 @@ class BlockReader:
                 f"checksum — the block is corrupt"
             )
         try:
-            arr = npb_codecs.decode(codec, raw, np.dtype(dtype), meta)
+            arr = npb_codecs.decode(codec, raw, dtype, meta)
         except KeyError as exc:
             raise TraceFormatError(
                 f"{self.path}: block {i} column {name!r} has unknown "

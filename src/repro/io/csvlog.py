@@ -15,14 +15,21 @@ uncompressed file.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import TraceFormatError
-from repro.io._builder import ColumnBuilder, rechunk_parts
+from repro.io._builder import (
+    collect_records,
+    join_parts,
+    rechunk_parts,
+    vector_part,
+)
 from repro.io._gz import (
     DEFAULT_BLOCK_BYTES,
     iter_line_blocks,
@@ -55,175 +62,143 @@ def write_csv(trace: Iterable[TraceRecord], path: Union[str, Path]) -> None:
             )
 
 
+def _row_record(row) -> TraceRecord:
+    """One CSV data row as a :class:`TraceRecord`, validated."""
+    if len(row) != len(HEADER):
+        raise TraceFormatError(
+            f"expected {len(HEADER)} fields, got {len(row)}"
+        )
+    time_us, id_hex, extended, dlc, data_hex, source, is_attack = row
+    try:
+        dlc_value = int(dlc)
+        record = TraceRecord(
+            timestamp_us=int(time_us),
+            can_id=int(id_hex, 16),
+            data=bytes.fromhex(data_hex),
+            extended=bool(int(extended)),
+            source=source,
+            is_attack=bool(int(is_attack)),
+        )
+    except ValueError as exc:
+        raise TraceFormatError(str(exc)) from exc
+    if record.dlc != dlc_value:
+        raise TraceFormatError(
+            f"dlc field {dlc} disagrees with payload length {record.dlc}"
+        )
+    return record
+
+
+def _csv_rows(lines: Iterable[str], path, lineno_base: int = 0):
+    """``(lineno, row)`` for each non-empty row of ``lines``.
+
+    At the start of the file (``lineno_base == 0``) the first row must
+    be the header.
+    """
+    reader = csv.reader(lines)
+    if not lineno_base:
+        header = next(reader, None)
+        if header != HEADER:
+            raise TraceFormatError(
+                f"{path}: unexpected CSV header {header!r}; expected {HEADER!r}"
+            )
+        lineno_base = 1
+    return (
+        (lineno, row)
+        for lineno, row in enumerate(reader, start=lineno_base + 1)
+        if row
+    )
+
+
 def read_csv(path: Union[str, Path]) -> Trace:
     """Read a CSV trace written by :func:`write_csv`."""
-    trace = Trace()
     with open_text(path, "r") as handle:
-        reader = csv.reader(handle)
-        _check_csv_header(reader, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(HEADER):
-                raise TraceFormatError(
-                    f"{path}:{lineno}: expected {len(HEADER)} fields, got {len(row)}"
-                )
-            try:
-                time_us, id_hex, extended, dlc, data_hex, source, is_attack = row
-                dlc_value = int(dlc)
-                record = TraceRecord(
-                    timestamp_us=int(time_us),
-                    can_id=int(id_hex, 16),
-                    data=bytes.fromhex(data_hex),
-                    extended=bool(int(extended)),
-                    source=source,
-                    is_attack=bool(int(is_attack)),
-                )
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-            if record.dlc != dlc_value:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: dlc field {dlc} disagrees with payload "
-                    f"length {record.dlc}"
-                )
-            trace.append(record)
-    return trace
+        return collect_records(_csv_rows(handle, path), _row_record, path)
 
 
 # ----------------------------------------------------------------------
 # Columnar-native path (no per-frame TraceRecord allocation)
 # ----------------------------------------------------------------------
 
-def _append_csv_row(builder: ColumnBuilder, row, lineno: int, path) -> None:
-    """Validate one CSV row and append its fields to the builder."""
-    if len(row) != len(HEADER):
-        raise TraceFormatError(
-            f"{path}:{lineno}: expected {len(HEADER)} fields, got {len(row)}"
-        )
-    time_us, id_hex, extended, dlc, data_hex, source, is_attack = row
-    try:
-        # Decode the payload exactly as the record path does — fromhex
-        # tolerates whitespace between byte pairs — and hand the builder
-        # the normalised hex.
-        data = bytes.fromhex(data_hex)
-        dlc_value = int(dlc)
-        builder.append(
-            int(time_us),
-            int(id_hex, 16),
-            data.hex(),
-            bool(int(extended)),
-            source,
-            bool(int(is_attack)),
-            lineno,
-        )
-    except ValueError as exc:
-        raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-    if len(data) != dlc_value:
-        raise TraceFormatError(
-            f"{path}:{lineno}: dlc field {dlc} disagrees with payload "
-            f"length {len(data)}"
-        )
+#: The header as the vector parser expects it on the first line.
+_HEADER_BYTES = ",".join(HEADER).encode("ascii")
 
 
-def _check_csv_header(reader, path) -> None:
-    header = next(reader, None)
-    if header != HEADER:
-        raise TraceFormatError(
-            f"{path}: unexpected CSV header {header!r}; expected {HEADER!r}"
-        )
-
-
-def _iter_csv_columns_rows(
+def _csv_module_parts(
     path: Union[str, Path],
     chunk_frames: int,
-    skip_rows: int = 0,
-    last_timestamp: Optional[int] = None,
+    skip_rows: int,
+    last_end: Optional[int],
 ) -> Iterator[ColumnTrace]:
-    """The ``csv``-module chunked reader (the pre-vectorised path).
+    """:func:`read_csv`'s row loop from data row ``skip_rows`` on.
 
-    Serves three callers: the whole-file robust fallback, the baseline
-    the ingest throughput experiment measures against, and the
-    mid-stream continuation of the block-vectorised reader — the only
-    correct parser once a quoted field appears, because quoting lets a
-    logical row span physical lines.  ``skip_rows`` data rows are
-    consumed without re-emitting them (the fast path already yielded
-    them; rows it accepts are quote-free single-line rows that the
-    ``csv`` module tokenises identically), and ``last_timestamp``
-    carries the monotonicity horizon across the handover.
+    Yields parts of at most ``chunk_frames`` frames; ``last_end``
+    carries the monotonicity horizon over from the rows already read.
     """
-    if chunk_frames <= 0:
-        raise TraceFormatError(
-            f"chunk_frames must be positive, got {chunk_frames}"
-        )
-    builder = ColumnBuilder()
-    seen = 0
     with open_text(path, "r") as handle:
-        reader = csv.reader(handle)
-        _check_csv_header(reader, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if seen < skip_rows:
-                seen += 1
-                continue
-            _append_csv_row(builder, row, lineno, path)
-            if len(builder) >= chunk_frames:
-                chunk = builder.build(path, last_timestamp)
-                last_timestamp = chunk.end_us
-                builder = ColumnBuilder()
-                yield chunk
-    if len(builder):
-        yield builder.build(path, last_timestamp)
+        rows = _csv_rows(handle, path)
+        for _ in itertools.islice(rows, skip_rows):
+            pass
+        while True:
+            trace = collect_records(
+                rows, _row_record, path, last_end, limit=chunk_frames
+            )
+            if not len(trace):
+                return
+            last_end = trace.end_us
+            yield ColumnTrace.from_trace(trace)
 
 
 def _csv_block_parts(
-    path: Union[str, Path], chunk_frames: int, block_bytes: int
+    path: Union[str, Path],
+    blocks: Iterable[Tuple[bytes, int]],
+    chunk_frames: int,
 ) -> Iterator[ColumnTrace]:
-    """Parse a CSV trace block by block into validated column parts.
+    """Parse ``(data, lineno_base)`` blocks of whole lines into parts.
 
-    Each block of whole lines (the first must start with the header)
-    goes through the vectorised
-    :func:`repro.io.vectorparse.parse_csv_bytes`.  On the first sign of
-    trouble — a quote byte (quoted fields may span physical lines, so
-    byte blocks can no longer be split on ``\\n``), a row structure the
-    vector parser rejects, or a timestamp violating time order — the
-    stream hands over *permanently* to the ``csv``-module reader, which
-    skips the rows already emitted and continues with identical per-row
-    diagnostics.
+    Each block (the first starts with the header) goes through the
+    vectorised :func:`repro.io.vectorparse.parse_csv_bytes`; a block it
+    rejects (ragged rows, bad values, out-of-order frames) re-parses
+    with :func:`read_csv`'s row step and names the offending line.  A
+    quote byte hands the rest of the file to the ``csv`` module for
+    good: a quoted field may span lines, so blocks can no longer be
+    cut at newlines.  An empty file takes the same route, whose header
+    check then rejects it.
     """
     consumed = 0
     last_end: Optional[int] = None
-    for data, lineno_base in iter_line_blocks(path, block_bytes):
-        part: Optional[ColumnTrace] = None
-        if b'"' not in data:
-            if lineno_base:
-                # Continuation blocks lack the header line the vector
-                # parser validates; re-prepend it.
-                buf = np.frombuffer(
-                    _HEADER_BYTES + b"\n" + data, dtype=np.uint8
-                )
-            else:
-                buf = np.frombuffer(data, dtype=np.uint8)
-            cols = parse_csv_bytes(buf, _HEADER_BYTES)
-            if cols:
-                try:
-                    part = ColumnTrace(**cols)
-                except TraceFormatError:
-                    part = None  # the csv-module re-parse names the row
-                else:
-                    if last_end is not None and part.start_us < last_end:
-                        part = None
-            elif cols is not None:  # pragma: no cover - header-only block
-                continue
+    handover = True
+    for data, lineno_base in blocks:
+        handover = b'"' in data
+        if handover:
+            break
+        if lineno_base:
+            # Continuation blocks lack the header line the vector
+            # parser validates; re-prepend it.
+            buf = _HEADER_BYTES + b"\n" + data
+        else:
+            buf = data
+        part = vector_part(
+            parse_csv_bytes(np.frombuffer(buf, dtype=np.uint8), _HEADER_BYTES),
+            last_end,
+        )
         if part is None:
-            yield from _iter_csv_columns_rows(
-                path, chunk_frames, skip_rows=consumed, last_timestamp=last_end
+            lines = io.TextIOWrapper(
+                io.BytesIO(data), encoding="ascii", newline=""
             )
-            return
+            part = ColumnTrace.from_trace(
+                collect_records(
+                    _csv_rows(lines, path, lineno_base),
+                    _row_record,
+                    path,
+                    last_end,
+                )
+            )
         if len(part):
             consumed += len(part)
             last_end = part.end_us
             yield part
+    if handover:
+        yield from _csv_module_parts(path, chunk_frames, consumed, last_end)
 
 
 def iter_csv_columns(
@@ -236,65 +211,38 @@ def iter_csv_columns(
 
     Yields consecutive chunks of exactly ``chunk_frames`` frames (the
     last may be short; bounded memory for captures larger than RAM).
-    Parsing is block-vectorised: ``block_bytes``-sized byte blocks of
-    whole lines (gzip decompresses block-wise) take the same
-    :func:`~repro.io.vectorparse.parse_csv_bytes` fast path as the
-    whole-file reader; files the vector parser cannot digest (quoting,
-    ragged rows, bad values) hand over to the full ``csv``-module path
-    and its per-row diagnostics.  Monotonicity is enforced across block
-    and chunk boundaries; bit-identical to :func:`read_csv_columns` on
-    any input.
+    The file reads as ``block_bytes``-sized byte blocks of whole lines
+    (gzip decompresses block-wise) through the same block driver as
+    :func:`read_csv_columns`, so the two readers differ only in where
+    their bytes come from.  Monotonicity is enforced across block and
+    chunk boundaries.
     """
     if chunk_frames <= 0:
         raise TraceFormatError(
             f"chunk_frames must be positive, got {chunk_frames}"
         )
     return rechunk_parts(
-        _csv_block_parts(path, chunk_frames, block_bytes), chunk_frames
+        _csv_block_parts(
+            path, iter_line_blocks(path, block_bytes), chunk_frames
+        ),
+        chunk_frames,
     )
-
-
-def _read_csv_columns_robust(path: Union[str, Path]) -> ColumnTrace:
-    """Row-by-row columnar read with per-row diagnostics.
-
-    The fallback for :func:`read_csv_columns` when the bulk fast path
-    cannot digest the file (quoted fields, ragged rows, bad values):
-    the full ``csv`` module parses each row (as one unbounded chunk of
-    the row-based reader) and errors carry line numbers.
-    """
-    for chunk in _iter_csv_columns_rows(path, chunk_frames=sys.maxsize):
-        return chunk
-    return ColumnTrace(np.empty(0, np.int64), np.empty(0, np.int64))
-
-
-#: The header as the vector parser expects it on the first line.
-_HEADER_BYTES = ",".join(HEADER).encode("ascii")
 
 
 def read_csv_columns(path: Union[str, Path]) -> ColumnTrace:
     """Read a CSV trace straight into a :class:`ColumnTrace`.
 
-    Bit-identical to ``ColumnTrace.from_trace(read_csv(path))`` —
-    including the ground-truth ``source``/``is_attack`` fields — without
-    allocating a :class:`TraceRecord` per row: the whole file loads as
-    one byte buffer and
-    :func:`repro.io.vectorparse.parse_csv_bytes` extracts every column
-    with vectorised passes.  Files the vector parser cannot digest
-    (quoting, ragged rows) fall back to the full ``csv``-module path
-    and its per-row diagnostics.  ``.gz`` files decompress into the
-    byte buffer first and take the same vectorised path.
+    Equal to ``ColumnTrace.from_trace(read_csv(path))``, ground-truth
+    ``source``/``is_attack`` fields included, without a
+    :class:`TraceRecord` per row: the whole file (decompressed first
+    for ``.gz``) is one block for the block driver
+    :func:`iter_csv_columns` uses, so writer-shaped files parse in
+    vectorised passes and anything else takes the record parser.
     """
-    buf = np.frombuffer(read_bytes(path), dtype=np.uint8)
-    cols = parse_csv_bytes(buf, _HEADER_BYTES)
-    if cols is None:
-        return _read_csv_columns_robust(path)
-    if not cols:
-        return ColumnTrace(np.empty(0, np.int64), np.empty(0, np.int64))
-    try:
-        return ColumnTrace(**cols)
-    except TraceFormatError:
-        # Re-parse for an error message naming the offending row.
-        return _read_csv_columns_robust(path)
+    data = read_bytes(path)
+    return join_parts(
+        _csv_block_parts(path, [(data, 0)] if data else [], sys.maxsize)
+    )
 
 
 def write_csv_columns(ct: ColumnTrace, path: Union[str, Path]) -> None:

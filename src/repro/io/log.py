@@ -19,15 +19,19 @@ from __future__ import annotations
 
 import io
 import re
-import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.can.constants import MAX_BASE_ID, SECOND_US
 from repro.exceptions import TraceFormatError
-from repro.io._builder import ColumnBuilder, rechunk_parts
+from repro.io._builder import (
+    collect_records,
+    join_parts,
+    rechunk_parts,
+    vector_part,
+)
 from repro.io._gz import (
     DEFAULT_BLOCK_BYTES,
     iter_line_blocks,
@@ -44,7 +48,6 @@ _LINE_RE = re.compile(
     r"(?P<id>[0-9A-Fa-f]{3,8})#(?P<data>(?:[0-9A-Fa-f]{2})*)"
     r"(?:\s*;\s*src=(?P<src>\S+)\s+attack=(?P<attack>[01]))?\s*$"
 )
-
 
 
 def format_record(record: TraceRecord, iface: str = "can0") -> str:
@@ -96,178 +99,53 @@ def write_candump(
             handle.write("\n")
 
 
+def _frame_lines(lines: Iterable[str], lineno_base: int = 0):
+    """``(lineno, line)`` for each frame line; blank and ``#`` lines skip."""
+    for lineno, line in enumerate(lines, start=lineno_base + 1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
+
+
 def read_candump(path: Union[str, Path]) -> Trace:
     """Read a candump file back into a :class:`Trace`.
 
     Blank lines and lines starting with ``#`` are skipped.
     """
-    trace = Trace()
     with open_text(path, "r") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                trace.append(parse_line(stripped))
-            except TraceFormatError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-    return trace
+        return collect_records(_frame_lines(handle), parse_line, path)
 
 
 # ----------------------------------------------------------------------
 # Columnar-native path (no per-frame TraceRecord allocation)
 # ----------------------------------------------------------------------
 
-#: Exactly the identifier alphabet the strict regex accepts.
-_HEX_CHARS = frozenset("0123456789abcdefABCDEF")
-
-
-def _append_candump_line(
-    builder: ColumnBuilder, line: str, lineno: int, path
-) -> None:
-    """Parse one candump line straight into the builder's columns.
-
-    The fast path splits on whitespace and validates each field by hand;
-    anything it cannot digest is re-parsed with the strict regex — valid
-    lines with unusual (but regex-accepted) spacing still load, and
-    malformed lines fail with :func:`parse_line`'s diagnostics.
-    """
-    try:
-        parts = line.split()
-        stamp, id_data = parts[0], parts[2]
-        if stamp[0] != "(" or stamp[-1] != ")":
-            raise ValueError
-        secs, _, usecs = stamp[1:-1].partition(".")
-        if len(usecs) != 6 or not secs.isdigit() or not usecs.isdigit():
-            raise ValueError
-        id_text, sep, data_hex = id_data.partition("#")
-        if (
-            not sep
-            or not 3 <= len(id_text) <= 8
-            # int(, 16) is laxer than the regex ("0x" prefixes,
-            # underscores, unicode digits) — require literal hex.
-            or not _HEX_CHARS.issuperset(id_text)
-            or len(data_hex) % 2
-        ):
-            raise ValueError
-        if len(parts) == 3:
-            source, attack = "", False
-        elif (
-            len(parts) == 6
-            and parts[3] == ";"
-            and parts[4].startswith("src=")
-            and parts[5] in ("attack=0", "attack=1")
-        ):
-            src = parts[4][4:]
-            source = "" if src == "-" else src
-            attack = parts[5] == "attack=1"
-        else:
-            raise ValueError
-        can_id = int(id_text, 16)
-    except (ValueError, IndexError):
-        try:
-            record = parse_line(line)
-        except TraceFormatError as exc:
-            raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-        builder.append(
-            record.timestamp_us,
-            record.can_id,
-            record.data.hex(),
-            record.extended,
-            record.source,
-            record.is_attack,
-            lineno,
-        )
-        return
-    builder.append(
-        int(secs) * SECOND_US + int(usecs),
-        can_id,
-        data_hex,
-        len(id_text) > 3 or can_id > MAX_BASE_ID,
-        source,
-        attack,
-        lineno,
-    )
-
-
-def _iter_candump_columns_lines(
-    path: Union[str, Path], chunk_frames: int
-) -> Iterator[ColumnTrace]:
-    """The per-line chunked reader (the pre-vectorised implementation).
-
-    Kept verbatim as the diagnostics path behind
-    :func:`_read_candump_columns_robust` and as the baseline the ingest
-    throughput experiment measures the block-vectorised reader against.
-    """
-    if chunk_frames <= 0:
-        raise TraceFormatError(
-            f"chunk_frames must be positive, got {chunk_frames}"
-        )
-    last_timestamp: Optional[int] = None
-    builder = ColumnBuilder()
-    with open_text(path, "r") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            _append_candump_line(builder, stripped, lineno, path)
-            if len(builder) >= chunk_frames:
-                chunk = builder.build(path, last_timestamp)
-                last_timestamp = chunk.end_us
-                builder = ColumnBuilder()
-                yield chunk
-    if len(builder):
-        yield builder.build(path, last_timestamp)
-
-
-def _candump_block_fallback(
-    data: bytes, lineno_base: int, path, last_end: Optional[int]
-) -> ColumnTrace:
-    """Per-line parse of one byte block, with exact line diagnostics.
-
-    Text-mode semantics match the per-line reader exactly (ASCII
-    decode, universal newline splitting, ``strip``), so a block the
-    vector parser rejects — comments, blank lines, unusual spacing,
-    malformed frames — loads or fails precisely as the whole file would
-    have under the per-line reader.
-    """
-    builder = ColumnBuilder()
-    wrapper = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="")
-    for offset, line in enumerate(wrapper):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        _append_candump_line(builder, stripped, lineno_base + offset + 1, path)
-    return builder.build(path, last_end)
-
-
 def _candump_block_parts(
-    path: Union[str, Path], block_bytes: int
+    path: Union[str, Path], blocks: Iterable[Tuple[bytes, int]]
 ) -> Iterator[ColumnTrace]:
-    """Parse a candump file block by block into validated column parts.
+    """Parse ``(data, lineno_base)`` blocks of whole lines into parts.
 
-    Each block of whole lines goes through the vectorised
-    :func:`repro.io.vectorparse.parse_candump_bytes`; a block it cannot
-    digest (or whose frames violate time order) re-parses line by line
-    with full diagnostics — the same contract as the whole-file reader,
-    scoped to the one offending block.
+    Each block goes through the vectorised
+    :func:`repro.io.vectorparse.parse_candump_bytes`.  A block it
+    rejects (comments, unusual spacing, malformed or out-of-order
+    frames) re-parses with :func:`read_candump`'s own line loop, in
+    text mode exactly as that reader sees it, so the block loads or
+    fails with ``path:lineno`` precisely as the whole file would.
     """
     last_end: Optional[int] = None
-    for data, lineno_base in iter_line_blocks(path, block_bytes):
-        part: Optional[ColumnTrace] = None
-        cols = parse_candump_bytes(np.frombuffer(data, dtype=np.uint8))
-        if cols:
-            try:
-                part = ColumnTrace(**cols)
-            except TraceFormatError:
-                part = None  # re-parse names the offending line
-            else:
-                if last_end is not None and part.start_us < last_end:
-                    part = None
-        elif cols is not None:  # pragma: no cover - blocks are never empty
-            continue
+    for data, lineno_base in blocks:
+        part = vector_part(
+            parse_candump_bytes(np.frombuffer(data, dtype=np.uint8)), last_end
+        )
         if part is None:
-            part = _candump_block_fallback(data, lineno_base, path, last_end)
+            lines = io.TextIOWrapper(
+                io.BytesIO(data), encoding="ascii", newline=""
+            )
+            part = ColumnTrace.from_trace(
+                collect_records(
+                    _frame_lines(lines, lineno_base), parse_line, path, last_end
+                )
+            )
         if len(part):
             last_end = part.end_us
             yield part
@@ -283,64 +161,36 @@ def iter_candump_columns(
 
     Yields consecutive chunks of exactly ``chunk_frames`` frames (the
     last may be short), so a capture larger than RAM streams through in
-    bounded memory.  Parsing is block-vectorised: the file reads as
-    ``block_bytes``-sized byte blocks of whole lines (gzip decompresses
-    block-wise too) and each block takes the same
-    :func:`~repro.io.vectorparse.parse_candump_bytes` fast path as the
-    whole-file reader, falling back to per-line parsing with exact line
-    diagnostics only for blocks the vector parser cannot digest.
-    Chunks split only on frame boundaries; timestamp monotonicity is
-    enforced across block and chunk boundaries too.  Bit-identical to
-    :func:`read_candump_columns` on any input.
+    bounded memory.  The file reads as ``block_bytes``-sized byte
+    blocks of whole lines (gzip decompresses block-wise too) through
+    the same block driver as :func:`read_candump_columns`, so the two
+    readers differ only in where their bytes come from.  Chunks split
+    only on frame boundaries; timestamp monotonicity is enforced across
+    block and chunk boundaries too.
     """
     if chunk_frames <= 0:
         raise TraceFormatError(
             f"chunk_frames must be positive, got {chunk_frames}"
         )
     return rechunk_parts(
-        _candump_block_parts(path, block_bytes), chunk_frames
+        _candump_block_parts(path, iter_line_blocks(path, block_bytes)),
+        chunk_frames,
     )
-
-
-def _read_candump_columns_robust(path: Union[str, Path]) -> ColumnTrace:
-    """Line-by-line columnar read with per-line diagnostics.
-
-    The fallback for :func:`read_candump_columns` when the whole-file
-    fast path cannot account for every data line: re-parses each line
-    (as one unbounded chunk of the per-line reader) so errors carry the
-    exact offending line number.
-    """
-    for chunk in _iter_candump_columns_lines(path, chunk_frames=sys.maxsize):
-        return chunk
-    return ColumnTrace(np.empty(0, np.int64), np.empty(0, np.int64))
 
 
 def read_candump_columns(path: Union[str, Path]) -> ColumnTrace:
     """Read a candump file straight into a :class:`ColumnTrace`.
 
-    Parses the same format as :func:`read_candump` — bit-identically,
-    including the ground-truth comments — but builds the columns
-    directly, skipping the per-frame :class:`TraceRecord` round trip:
-    the whole file loads as one byte buffer and
-    :func:`repro.io.vectorparse.parse_candump_bytes` extracts every
-    column with vectorised passes.  Files the vector parser cannot
-    digest (comments, unusual spacing) re-parse line by line; either
-    way the result is identical to ``read_candump(path).to_columns()``.
-    An order of magnitude faster than loading via records (the archive
-    throughput experiment measures it).  ``.gz`` files decompress into
-    the byte buffer first and take the same vectorised path.
+    Equal to ``read_candump(path).to_columns()``, ground-truth comments
+    included, without a :class:`TraceRecord` per frame: the whole file
+    (decompressed first for ``.gz``) is one block for the block driver
+    :func:`iter_candump_columns` uses, so writer-shaped logs parse in
+    vectorised passes and anything else takes the record parser.  An
+    order of magnitude faster than loading via records (the archive
+    throughput experiment measures it).
     """
-    buf = np.frombuffer(read_bytes(path), dtype=np.uint8)
-    cols = parse_candump_bytes(buf)
-    if cols is None:
-        return _read_candump_columns_robust(path)
-    if not cols:
-        return ColumnTrace(np.empty(0, np.int64), np.empty(0, np.int64))
-    try:
-        return ColumnTrace(**cols)
-    except TraceFormatError:
-        # Re-parse for an error message naming the offending line.
-        return _read_candump_columns_robust(path)
+    data = read_bytes(path)
+    return join_parts(_candump_block_parts(path, [(data, 0)] if data else []))
 
 
 #: Rows rendered per strip by the columnar text writers.  Strip-wise

@@ -11,8 +11,8 @@ spans under a composite key and then *verifying the grouping exactly*
 with vectorised character compares.  Nothing is trusted without a
 check: any structural deviation — comment lines, unusual spacing,
 quoting, non-digit bytes, ragged fields — makes the parser return
-``None`` and the caller falls back to the per-line path, which
-re-parses with full diagnostics.
+``None``, and the caller re-parses that block with the format's
+reference record parser, which loads it or names the offending line.
 
 Both parsers return plain column dicts (``ColumnTrace`` keyword
 arguments) so ``repro.io.log`` / ``repro.io.csvlog`` own the trace
@@ -217,7 +217,7 @@ def parse_candump_bytes(buf: np.ndarray) -> Optional[dict]:
     Handles both line shapes the format allows — with the ground-truth
     ``; src=... attack=...`` comment (five spaces per line) and without
     (two spaces) — but not a mix; anything else returns None for the
-    per-line fallback.  Timestamp monotonicity is *not* checked here
+    record-parser fallback.  Timestamp monotonicity is *not* checked here
     (the trace constructor validates it with a proper error).
     """
     if buf.size == 0:
@@ -306,8 +306,8 @@ def parse_csv_bytes(buf: np.ndarray, header: bytes) -> Optional[dict]:
     """Parse a writer-shaped CSV trace buffer into column arrays.
 
     ``header`` is the expected first line (without line terminator).
-    Quoted fields (any ``\"`` in the file) and ragged rows defer to the
-    csv-module fallback.
+    Quoted fields (any ``\"`` in the buffer) and ragged rows return
+    None for the record-parser fallback.
     """
     if buf.size == 0:
         return None  # a valid CSV trace has at least the header

@@ -68,6 +68,7 @@ from repro.exceptions import DetectorError
 from repro.runtime.base import Executor, ScanSpec
 from repro.runtime.protocol import (
     DEFAULT_LEASE_S,
+    MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
     ClaimToken,
     ResultCollector,
@@ -187,7 +188,7 @@ class ScanServer:
     async def start(self) -> None:
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=MAX_MESSAGE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._reaper = asyncio.create_task(self._reap_expired())
@@ -410,7 +411,14 @@ class ScanServer:
                 pass
 
     async def _read(self, reader: asyncio.StreamReader) -> Optional[dict]:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:  # how readline reports a line over the limit
+            self._log(
+                f"serve: closing a connection that sent a message over "
+                f"{MAX_MESSAGE_BYTES} bytes"
+            )
+            return None
         if not line:
             return None
         self.bytes_in += len(line)
@@ -821,6 +829,12 @@ class _Connection:
                 if isinstance(message, dict):
                     return message
                 continue
+            if len(self._buffer) > MAX_MESSAGE_BYTES:
+                self.close()
+                raise DetectorError(
+                    f"scan coordinator sent a message over "
+                    f"{MAX_MESSAGE_BYTES} bytes; connection closed"
+                )
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:

@@ -55,6 +55,7 @@ from repro.runtime.base import ScanSpec, spec_from_payload
 
 __all__ = [
     "DEFAULT_LEASE_S",
+    "MAX_MESSAGE_BYTES",
     "PROTOCOL_VERSION",
     "STATS_VERSION",
     "ClaimToken",
@@ -78,6 +79,12 @@ PROTOCOL_VERSION = 1
 #: Default claim lease: a claimant that neither publishes nor renews
 #: within this window is presumed dead and its task is re-posted.
 DEFAULT_LEASE_S = 300.0
+
+#: Largest wire message (one NDJSON line) either end of a connection
+#: accepts.  A result costs about 1 KB per detection window, so a
+#: day-long capture at the default 2 s window (43,200 windows) fits
+#: with room to spare; a longer line closes the connection.
+MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 #: Fabric-statistics schema version (the ``stats`` admin verb and
 #: ``queue_stats``).  Versioned separately from the task wire format so

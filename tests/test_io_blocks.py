@@ -337,6 +337,71 @@ class TestCorruption:
             with pytest.raises(TraceFormatError, match="malformed"):
                 reader.read_block(0)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("csize", -1, "truncated"),
+            ("csize", 10 ** 15, "truncated"),
+            ("off", -8, "truncated"),
+            ("raw", -1, "negative"),
+        ],
+        ids=["negative-csize", "huge-csize", "negative-offset", "negative-raw"],
+    )
+    def test_index_sizes_checked_before_allocating(
+        self, npb, field, value, match
+    ):
+        """Sizes and offsets come from the index: they are checked
+        against the file before anything is allocated."""
+        _rewrite_index(
+            npb,
+            lambda ix: ix["blocks"][0]["columns"]["can_id"].update(
+                {field: value}
+            ),
+        )
+        with BlockReader(npb, cache=False) as reader:
+            with pytest.raises(TraceFormatError, match=match):
+                reader.read_block(0)
+
+    def test_zlib_bomb_stops_at_the_codec_bound(self, npb):
+        """A column whose stream inflates far past what its codec can
+        produce fails after inflating at most that much."""
+        import tracemalloc
+        import zlib
+
+        bomb = zlib.compress(bytes(64 << 20), 9)
+        raw = npb.read_bytes()
+        trailer = struct.Struct("<QQ8s")
+        offset, length, magic = trailer.unpack(raw[-trailer.size:])
+        index = json.loads(raw[offset:offset + length])
+        index["blocks"][0]["columns"]["timestamp_us"].update(
+            off=offset, csize=len(bomb), crc=zlib.crc32(bytes(64 << 20))
+        )
+        new_index = json.dumps(index, separators=(",", ":")).encode("utf-8")
+        npb.write_bytes(
+            raw[:offset] + bomb + new_index
+            + trailer.pack(offset + len(bomb), len(new_index), magic)
+        )
+        with BlockReader(npb, cache=False) as reader:
+            tracemalloc.start()
+            try:
+                with pytest.raises(TraceFormatError, match="inflates past"):
+                    reader.read_block(0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_delta_on_a_narrow_column_still_reads(self, capture, tmp_path):
+        """Deltas of a uint8 column widen to two bytes each; the inflate
+        bound must leave room for that."""
+        path = tmp_path / "delta-payload.npb"
+        write_blocks(
+            path, capture, block_frames=1000, codecs={"payload": "delta"}
+        )
+        with BlockReader(path, cache=False) as reader:
+            assert reader.codecs["payload"] == "delta"
+            assert reader.to_columns() == capture
+
 
 class TestDecodedBlockCache:
     def test_warm_reread_hits(self, capture, npb):

@@ -18,7 +18,9 @@ from repro.exceptions import TraceFormatError
 from repro.io import (
     iter_candump_columns,
     iter_csv_columns,
+    read_candump,
     read_candump_columns,
+    read_csv,
     read_csv_columns,
     write_candump_columns,
     write_csv_columns,
@@ -29,6 +31,8 @@ from repro.vehicle.traffic import generate_drive_columns
 #: Block sizes chosen to land boundaries everywhere: single bytes,
 #: mid-timestamp, mid-payload, mid-comment, and "bigger than the file".
 BLOCK_SIZES = [1, 3, 17, 256, 1 << 20]
+
+_CSV_HEADER = b"time_us,can_id_hex,extended,dlc,data_hex,source,is_attack\n"
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +63,7 @@ class TestCandumpBlockParity:
             iter_candump_columns(path, 997, block_bytes=block_bytes)
         )
         assert merged == whole
+        assert whole == read_candump(path).to_columns()
 
     @pytest.mark.parametrize("block_bytes", [7, 64])
     def test_weird_text_shapes(self, tmp_path, block_bytes):
@@ -78,6 +83,7 @@ class TestCandumpBlockParity:
         whole = read_candump_columns(path)
         assert len(whole) == 4
         assert whole.is_attack.sum() == 1
+        assert whole == read_candump(path).to_columns()
         for chunk_frames in (1, 2, 100):
             merged = _merge(
                 iter_candump_columns(
@@ -85,6 +91,44 @@ class TestCandumpBlockParity:
                 )
             )
             assert merged == whole
+
+    def test_only_the_interior_block_falls_back(
+        self, capture, tmp_path, monkeypatch
+    ):
+        """A comment in the second block sends that block, and only
+        that block, to the record parser; a malformed line there is
+        reported with its line number in the file."""
+        import repro.io.log as log
+
+        head = tmp_path / "head.log"
+        write_candump_columns(capture.slice(0, 40), head)
+        lines = head.read_text().splitlines(keepends=True)
+        block_bytes = sum(len(line) for line in lines[:20])
+        text = "".join(lines[:25] + ["# interior comment\n"] + lines[25:])
+        path = tmp_path / "interior.log"
+        path.write_text(text)
+
+        reference = read_candump(path).to_columns()
+        parsed = []
+        real_parse_line = log.parse_line
+
+        def spy(line):
+            parsed.append(line)
+            return real_parse_line(line)
+
+        monkeypatch.setattr(log, "parse_line", spy)
+        merged = _merge(
+            iter_candump_columns(path, 7, block_bytes=block_bytes)
+        )
+        assert len(merged) == 40
+        assert merged == reference
+        assert 0 < len(parsed) < 40
+
+        lines.insert(30, "(1.000000) can0 not-a-frame\n")
+        bad = tmp_path / "bad.log"
+        bad.write_text("".join(lines[:25] + ["# c\n"] + lines[25:]))
+        with pytest.raises(TraceFormatError, match=r"bad\.log:32:"):
+            list(iter_candump_columns(bad, 7, block_bytes=block_bytes))
 
     def test_exact_chunk_sizes(self, capture, tmp_path):
         path = tmp_path / "c.log"
@@ -141,6 +185,7 @@ class TestCsvBlockParity:
         whole = read_csv_columns(path)
         merged = _merge(iter_csv_columns(path, 991, block_bytes=block_bytes))
         assert merged == whole
+        assert whole == read_csv(path).to_columns()
 
     @pytest.mark.parametrize("block_bytes", [5, 64])
     def test_quoted_field_hands_over_to_csv_module(
@@ -165,6 +210,42 @@ class TestCsvBlockParity:
                 iter_csv_columns(path, chunk_frames, block_bytes=block_bytes)
             )
             assert merged == whole
+
+    @pytest.mark.parametrize(
+        "text, frames",
+        [
+            (b"", None),
+            (_CSV_HEADER, 0),
+            (
+                _CSV_HEADER + b"1000,1A4,0,2,1122,ecu_a,0\r\n\n"
+                b"2000,0C1,0,2,11 22,ecu_b,1\n3000,7FF,1,0,,ecu_a,0",
+                3,
+            ),
+        ],
+        ids=["empty", "header-only", "crlf-blank-spaced-hex"],
+    )
+    @pytest.mark.parametrize("block_bytes", [5, 64])
+    def test_weird_text_shapes(self, tmp_path, text, frames, block_bytes):
+        """Both columnar readers load exactly what the record reader
+        loads, and reject exactly what it rejects: a zero-byte file has
+        no header (``frames`` None), a header-only file is empty."""
+        path = tmp_path / "w.csv"
+        path.write_bytes(text)
+        if frames is None:
+            with pytest.raises(TraceFormatError, match="header None") as ref:
+                read_csv(path)
+            with pytest.raises(TraceFormatError) as whole:
+                read_csv_columns(path)
+            with pytest.raises(TraceFormatError) as streamed:
+                list(iter_csv_columns(path, 2, block_bytes=block_bytes))
+            assert str(whole.value) == str(streamed.value) == str(ref.value)
+            return
+        reference = read_csv(path).to_columns()
+        assert len(reference) == frames
+        assert read_csv_columns(path) == reference
+        assert _merge(
+            iter_csv_columns(path, 2, block_bytes=block_bytes)
+        ) == reference
 
     def test_exact_chunk_sizes(self, capture, tmp_path):
         path = tmp_path / "c.csv"

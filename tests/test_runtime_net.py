@@ -233,6 +233,61 @@ class TestCoordinator:
             submit.close()
 
 
+class TestMessageSizeBound:
+    def test_long_capture_result_crosses_the_wire(
+        self, pipeline, catalog, tmp_path
+    ):
+        """A 200 s capture's result is larger than asyncio's default
+        64 KiB line limit; a worker must still deliver it, and the
+        report must match the serial scan bit for bit."""
+        from repro.io.log import write_candump_columns
+        from repro.vehicle.traffic import generate_drive_columns
+
+        write_candump_columns(
+            generate_drive_columns(200.0, seed=5, catalog=catalog),
+            tmp_path / "long.log",
+        )
+        serial = pipeline.analyze_archive(tmp_path, workers=1).to_dict()
+        with ServerThread() as st:
+            t = threading.Thread(
+                target=run_net_worker,
+                kwargs=dict(connect=st.address, poll_s=0.02, max_idle_s=60.0),
+                daemon=True,
+            )
+            t.start()
+            report = pipeline.analyze_archive(
+                tmp_path,
+                executor=NetExecutor(st.address, drain=False, timeout_s=120.0),
+            )
+            st.drain()
+            t.join(timeout=60)
+        assert st.server.bytes_in > 64 * 1024
+        assert report.to_dict() == serial
+
+    def test_oversized_line_closes_the_connection(self, monkeypatch):
+        import repro.runtime.net as net
+
+        monkeypatch.setattr(net, "MAX_MESSAGE_BYTES", 4096)
+        lines = []
+        with ServerThread(log=lines.append) as st:
+            conn = _Connection(st.server.host, st.server.port, "status")
+            conn.send({"type": "stats", "pad": "x" * 8192})
+            with pytest.raises(DetectorError, match="closed the connection"):
+                conn.recv(timeout=10)
+            conn.close()
+        assert any("over 4096 bytes" in line for line in lines)
+
+    def test_client_rejects_an_oversized_message(self, monkeypatch):
+        import repro.runtime.net as net
+
+        with ServerThread() as st:
+            conn = _Connection(st.server.host, st.server.port, "status")
+            monkeypatch.setattr(net, "MAX_MESSAGE_BYTES", 16)
+            conn._buffer.extend(b"x" * 64)
+            with pytest.raises(DetectorError, match="over 16 bytes"):
+                conn.recv(timeout=10)
+
+
 def spawn_cli_worker(address, log_path):
     """A real ``repro-ids worker --connect`` subprocess."""
     env = dict(os.environ)
